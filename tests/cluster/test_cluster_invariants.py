@@ -37,7 +37,6 @@ from repro.cluster.contention import ContentionModel
 from repro.cluster.fabric import FABRICS, NETWORK_FAULTS
 from repro.cluster.failures import FAILURES, RandomFailures
 from repro.cluster.fleet import FleetTicker
-from repro.cluster.shards import ShardedExecutor
 from repro.cluster.manager import Manager
 from repro.cluster.placement import PLACEMENTS
 from repro.cluster.rebalance import (
@@ -92,8 +91,6 @@ def _run_checked(
     failures=None,
     fabric=None,
     fleet_mode=None,
-    shards=None,
-    min_parallel_rows=None,
 ) -> dict[str, str]:
     """Run one fuzz case, asserting invariants; return label → repr(t_f).
 
@@ -103,10 +100,7 @@ def _run_checked(
     serial/fused sampling path respectively; the returned summary then
     also digests every recorded series bit-for-bit, so comparing a
     ``False`` run against a ``True`` run proves the fused engine changed
-    nothing.  ``shards=N`` arms a :class:`ShardedExecutor` instead of
-    the plain ticker (implies the fused arena; recorders attach as with
-    ``fleet_mode=True``); ``min_parallel_rows=0`` forces its process
-    pool so the fork/IPC path itself is parity-checked.
+    nothing.
     """
     capacities, slots, jobs = _random_shape(seed)
     sim = Simulator(seed=seed, trace=False)
@@ -152,16 +146,8 @@ def _run_checked(
         lambda w: w.exit_hooks.append(record)
     )
     recorders: list[MetricsRecorder] = []
-    executor = None
-    if shards is not None:
-        fleet_mode = True
-        kwargs = {}
-        if min_parallel_rows is not None:
-            kwargs["min_parallel_rows"] = min_parallel_rows
-        executor = ShardedExecutor(sim, shards=shards, **kwargs)
-        executor.arm()
     if fleet_mode is not None:
-        if fleet_mode and executor is None:
+        if fleet_mode:
             FleetTicker(sim).arm()
 
         def instrument(w):
@@ -209,8 +195,6 @@ def _run_checked(
         if event is None:
             break
         check_slots(event)
-    if executor is not None:
-        executor.close()
 
     # Exactly-once completion, wherever migrations/autoscaling/crash-
     # restarts took each job — under wfq this is the no-starvation
@@ -521,9 +505,9 @@ class TestFleetModeParity:
     Every test runs the same random cluster shape twice — serial
     sampling and fused (``FleetTicker`` armed) — and asserts the full
     summaries match bit-for-bit: completion times, failure/retry
-    records and a sha256 over every recorded metric series.  Together
-    the tests sweep all five policy axes (placement, rebalance,
-    admission, autoscale, failures).
+    records, fabric counters and a sha256 over every recorded metric
+    series.  Together the tests sweep all six policy axes (placement,
+    rebalance, admission, autoscale, failures, fabric).
     """
 
     @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
@@ -579,6 +563,20 @@ class TestFleetModeParity:
         )
         assert serial == fused
 
+    @pytest.mark.parametrize("plan", _FABRIC_PLANS)
+    def test_fabric_fault_plans(self, plan):
+        """Lossy control-plane MESSAGE traffic interleaves with every
+        fused batch; the digests compare fabric delivery counters
+        bit-for-bit too."""
+        seed = 4
+        serial = _run_checked(
+            seed, "spread", "none", fabric=plan, fleet_mode=False
+        )
+        fused = _run_checked(
+            seed, "spread", "none", fabric=plan, fleet_mode=True
+        )
+        assert serial == fused
+
     @pytest.mark.parametrize("seed", [2, 3])
     def test_composed_axes(self, seed):
         """Migration + autoscale + non-fifo admission, fused vs serial."""
@@ -596,6 +594,74 @@ class TestFleetModeParity:
 
         assert run(False) == run(True)
 
+    @pytest.mark.parametrize("admission", sorted(ADMISSIONS))
+    @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_admission_placement_matrix(self, admission, placement, seed):
+        """Queue order × node choice decide which workers share a fused
+        batch and in what order their rows are packed."""
+        serial = _run_checked(
+            seed, placement, "none", admission=admission, fleet_mode=False
+        )
+        fused = _run_checked(
+            seed, placement, "none", admission=admission, fleet_mode=True
+        )
+        assert serial == fused
+
+    @pytest.mark.parametrize(
+        "failures",
+        sorted(set(FAILURES) - {"none"}) + ["random:checkpoint"],
+    )
+    @pytest.mark.parametrize("admission", ["fifo", "wfq"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_failure_models_axis(self, failures, admission, seed):
+        """Every failure model — fail-stop, rolling, zone outages and
+        fail-slow capacity loss — reshapes the packed arena mid-run."""
+        serial = _run_checked(
+            seed, "spread", "none", admission=admission,
+            failures=failures, fleet_mode=False,
+        )
+        fused = _run_checked(
+            seed, "spread", "none", admission=admission,
+            failures=failures, fleet_mode=True,
+        )
+        assert serial == fused
+
+    @pytest.mark.parametrize("plan", _FABRIC_PLANS)
+    @pytest.mark.parametrize("admission", sorted(ADMISSIONS))
+    def test_fabric_plan_admission_matrix(self, plan, admission):
+        """Late, lost and duplicated placements under every queue
+        discipline; fabric counters are digested too."""
+        seed = 1
+        serial = _run_checked(
+            seed, "spread", "none", admission=admission,
+            fabric=plan, fleet_mode=False,
+        )
+        fused = _run_checked(
+            seed, "spread", "none", admission=admission,
+            fabric=plan, fleet_mode=True,
+        )
+        assert serial == fused
+
+    @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_composed_axes_placement(self, placement, seed):
+        """Migration + autoscale + sjf under every placement policy:
+        container movement between fused rows at its densest."""
+        def run(fleet_mode):
+            return _run_checked(
+                seed,
+                placement,
+                MigrateOnExit(migration_delay=3.0),
+                admission="sjf",
+                autoscale=QueueDepthAutoscale(
+                    up_threshold=2, provision_delay=5.0, cooldown=0.0
+                ),
+                fleet_mode=fleet_mode,
+            )
+
+        assert run(False) == run(True)
+
     @pytest.mark.parametrize("seed", [0, 4])
     def test_fused_repeat_is_bit_identical(self, seed):
         """Fused runs are also deterministic against themselves."""
@@ -603,106 +669,17 @@ class TestFleetModeParity:
         second = _run_checked(seed, "spread", "none", fleet_mode=True)
         assert first == second
 
-
-class TestShardParity:
-    """Sharded single-run execution vs the serial oracle, fuzzed.
-
-    Every test runs the same random cluster shape twice — serial
-    per-worker sampling and sharded (:class:`ShardedExecutor` slicing
-    the fused arena into contiguous worker shards) — and asserts the
-    full summaries match bit-for-bit: completion times, failure/retry
-    records, **fabric counters** and a sha256 over every recorded
-    metric series.  The sweep spans shards ∈ {1, 2, 4} × admission ×
-    placement × crash/recover × fabric fault plans; one test forces the
-    process-pool path so the fork/IPC kernels are parity-checked too.
-    """
-
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_placement_axis(self, shards, placement, seed):
-        serial = _run_checked(seed, placement, "none", fleet_mode=False)
-        sharded = _run_checked(seed, placement, "none", shards=shards)
-        assert serial == sharded
-
-    @pytest.mark.parametrize("shards", [2, 4])
-    @pytest.mark.parametrize("admission", sorted(ADMISSIONS))
-    @pytest.mark.parametrize("seed", [0, 2])
-    def test_admission_axis(self, shards, admission, seed):
-        serial = _run_checked(
-            seed, "spread", "none", admission=admission, fleet_mode=False
-        )
-        sharded = _run_checked(
-            seed, "spread", "none", admission=admission, shards=shards
-        )
-        assert serial == sharded
-
-    @pytest.mark.parametrize("shards", [2, 4])
-    @pytest.mark.parametrize(
-        "failures", ["random", "random:checkpoint(20)"]
-    )
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_crash_recover_axis(self, shards, failures, seed):
-        """Workers dying and recovering mid-run reshape the shard
-        partition every batch; not a sample may move."""
-        serial = _run_checked(
-            seed, "spread", "none", failures=failures, fleet_mode=False
-        )
-        sharded = _run_checked(
-            seed, "spread", "none", failures=failures, shards=shards
-        )
-        assert serial == sharded
-
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    @pytest.mark.parametrize("plan", _FABRIC_PLANS)
-    def test_fabric_fault_plans(self, shards, plan):
-        """Lossy control-plane MESSAGE traffic bounds every window; the
-        digests compare fabric delivery counters bit-for-bit too."""
-        seed = 4
-        serial = _run_checked(
-            seed, "spread", "none", fabric=plan, fleet_mode=False
-        )
-        sharded = _run_checked(
-            seed, "spread", "none", fabric=plan, shards=shards
-        )
-        assert serial == sharded
-
-    @pytest.mark.parametrize("shards", [2, 3])
-    @pytest.mark.parametrize("seed", [2, 3])
-    def test_composed_axes(self, shards, seed):
-        """Migration + autoscale + non-fifo admission, sharded vs
-        serial — cross-shard container movement at its densest."""
-        def run(**kwargs):
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_fused_repeat_under_chaos_is_bit_identical(self, seed):
+        """Crashes plus a lossy fabric draw from seeded RNG streams;
+        fused repeats must consume them identically."""
+        def run():
             return _run_checked(
-                seed,
-                "binpack",
-                MigrateOnExit(migration_delay=3.0),
-                admission="sjf",
-                autoscale=QueueDepthAutoscale(
-                    up_threshold=2, provision_delay=5.0, cooldown=0.0
-                ),
-                **kwargs,
+                seed, "spread", "none", failures="random",
+                fabric="drop(0.25)", fleet_mode=True,
             )
 
-        assert run(fleet_mode=False) == run(shards=shards)
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_forced_pool_parity(self, seed):
-        """``min_parallel_rows=0`` pushes every batch through the
-        process pool: the out-of-process kernels must produce the same
-        bits as the serial engine."""
-        serial = _run_checked(seed, "spread", "none", fleet_mode=False)
-        pooled = _run_checked(
-            seed, "spread", "none", shards=2, min_parallel_rows=0
-        )
-        assert serial == pooled
-
-    @pytest.mark.parametrize("seed", [5])
-    def test_sharded_repeat_is_bit_identical(self, seed):
-        """Sharded runs are also deterministic against themselves."""
-        first = _run_checked(seed, "spread", "none", shards=4)
-        second = _run_checked(seed, "spread", "none", shards=4)
-        assert first == second
+        assert run() == run()
 
 
 _STREAM_TENANTS = (("alpha", 2.0, 1.0), ("beta", 1.0, 2.0), ("gamma", 1.0, 1.0))

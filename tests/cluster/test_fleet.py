@@ -10,6 +10,9 @@ The contracts under test, each against the serial path as the oracle:
   the segmented allocator reproduce ``settle()`` / ``poke()`` /
   per-worker ``allocate()`` bit for bit, including the scalar fallbacks
   for dynamic footprints and the validation errors of the serial path.
+* **Bypassed observe** — the bus bookkeeping the fused sampler does in
+  place of ``ObservationBus.observe()`` (pass counter, cache key, the
+  16-pass prune) matches the real ``observe()`` pass for pass.
 * **Ticker lifecycle** — recorders discovered from event payloads,
   foreign and stopped-recorder events fire normally, caches invalidate
   on pool changes, and the fused prune keeps history bounded on the
@@ -25,6 +28,7 @@ import numpy as np
 from repro.cluster.contention import ContentionModel
 from repro.cluster.fleet import (
     FleetTicker,
+    _observe_bypassed,
     fleet_reallocate,
     fleet_sample,
     fleet_settle,
@@ -213,6 +217,28 @@ class TestFleetSettleParity:
         fleet_settle(fused_workers)
         assert _settle_state(serial_workers) == _settle_state(fused_workers)
 
+    @pytest.mark.parametrize(
+        "shape", [(1,), (4,), (0, 0, 3), (3, 3, 3, 3), (1, 2, 3, 4, 1)]
+    )
+    def test_fleet_shapes_match_serial(self, shape):
+        """Settle + reallocate over lone, wide and ragged fleets: the
+        packed rows must split back onto their workers exactly."""
+        serial_sim, serial_workers = _build_fleet(
+            7, jobs_per_worker=shape, contention=ContentionModel.ideal
+        )
+        fused_sim, fused_workers = _build_fleet(
+            7, jobs_per_worker=shape, contention=ContentionModel.ideal
+        )
+        for t in (1.5, 4.0, 9.25):
+            serial_sim.clock.advance_to(t)
+            fused_sim.clock.advance_to(t)
+            for w in serial_workers:
+                w.poke()
+            fleet_settle(fused_workers)
+            fleet_reallocate(fused_workers)
+        assert _settle_state(serial_workers) == _settle_state(fused_workers)
+        assert _alloc_state(serial_workers) == _alloc_state(fused_workers)
+
     def test_empty_worker_just_advances_its_clock(self):
         sim, workers = _build_fleet(0, jobs_per_worker=(2, 0, 1))
         sim.clock.advance_to(3.0)
@@ -352,6 +378,80 @@ def _ticked_fleet(
     if fleet:
         ticker.arm()
     return sim, workers, recorders, ticker
+
+
+class TestObserveBypassed:
+    """The fused sampler's stand-in for ``ObservationBus.observe()``.
+
+    Driven pass by pass against the real ``observe()`` on a twin fleet:
+    the pass counter, cache key and — across the 16-pass prune cadence —
+    every container's history floor must agree.
+    """
+
+    @staticmethod
+    def _drive(n_passes, bypass, prune=True):
+        sim, workers = _build_fleet(11, contention=ContentionModel.ideal)
+        samplers = [w.obsbus.sampler() for w in workers]
+        for w in workers:
+            w.obsbus.prune = prune
+        for k in range(1, n_passes + 1):
+            sim.clock.advance_to(float(k))
+            for w, s in zip(workers, samplers):
+                w.poke()  # a reallocation checkpoint per pass
+                for c in w.running_containers():
+                    s._last_sample[c.cid] = k - 0.5
+                if bypass:
+                    _observe_bypassed(w, sim.now, w.running_containers())
+                else:
+                    w.obsbus.observe()
+        return workers
+
+    @staticmethod
+    def _bus_state(workers):
+        return [
+            (
+                w.obsbus.passes,
+                w.obsbus._cache_key,
+                [
+                    (
+                        c.name,
+                        repr(c.cgroup.history_floor),
+                        c.cgroup.checkpoint_count,
+                    )
+                    for c in w.running_containers()
+                ],
+            )
+            for w in workers
+        ]
+
+    @pytest.mark.parametrize("n_passes", [1, 15, 16, 17, 32, 40])
+    def test_matches_observe_bookkeeping(self, n_passes):
+        serial = self._drive(n_passes, bypass=False)
+        fused = self._drive(n_passes, bypass=True)
+        assert self._bus_state(serial) == self._bus_state(fused)
+        pruned = any(
+            c.cgroup.history_floor > c.created_at
+            for w in fused
+            for c in w.running_containers()
+        )
+        assert pruned == (n_passes >= 16)  # first prune on pass 16
+
+    def test_prune_disabled_never_moves_a_floor(self):
+        serial = self._drive(32, bypass=False, prune=False)
+        fused = self._drive(32, bypass=True, prune=False)
+        assert self._bus_state(serial) == self._bus_state(fused)
+        for w in fused:
+            for c in w.running_containers():
+                assert c.cgroup.history_floor == c.created_at
+
+    def test_same_instant_second_call_is_a_cache_hit(self):
+        workers = self._drive(3, bypass=True)
+        before = self._bus_state(workers)
+        for w in workers:
+            w.obsbus._cache = ["sentinel"]
+            _observe_bypassed(w, w.sim.now, w.running_containers())
+            assert w.obsbus._cache == ["sentinel"]  # untouched
+        assert self._bus_state(workers) == before
 
 
 class TestFleetTicker:

@@ -74,24 +74,24 @@ class TestSimulationConfig:
         cfg = SimulationConfig().with_params(seed=9)
         assert cfg.seed == 9
 
-    def test_shards_default_and_validation(self):
-        assert SimulationConfig().shards == 1
-        cfg = SimulationConfig(fleet_mode=True, shards=4)
-        assert cfg.shards == 4
-        with pytest.raises(ConfigError):
-            SimulationConfig(shards=0)
-        with pytest.raises(ConfigError):
-            SimulationConfig(fleet_mode=True, shards=-2)
-
-    def test_shards_require_fleet_mode(self):
-        """Shards slice the fused arena, so the arena must exist."""
-        with pytest.raises(ConfigError, match="fleet_mode"):
-            SimulationConfig(shards=2)
-        cfg = SimulationConfig(shards=1)  # default composes with anything
-        assert not cfg.fleet_mode
-        with pytest.raises(ConfigError):
-            cfg.with_params(shards=2)  # still enforced through with_params
-        assert cfg.with_params(fleet_mode=True, shards=2).shards == 2
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("capacity", float("nan")),
+            ("capacity", float("inf")),
+            ("sample_interval", float("nan")),
+            ("sample_interval", float("inf")),
+            ("horizon", float("nan")),
+            ("reschedule_tolerance", float("nan")),
+            ("capacity", float("-inf")),
+            ("sample_interval", float("-inf")),
+            ("horizon", float("-inf")),
+            ("reschedule_tolerance", float("-inf")),
+        ],
+    )
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SimulationConfig(**{field: value})
 
 
 class TestSchedulingPolicyFields:
