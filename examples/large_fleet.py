@@ -4,14 +4,12 @@
 Per-worker elastic control (the paper's §3.1 worker-side loop) costs one
 settle + reallocate + observation pass per worker per sampling tick.  On
 a fleet the sampling grid is shared — every recorder ticks at the same
-instants — so ``SimulationConfig(fleet_mode=True)`` coalesces all those
-same-instant ticks into one vectorized pass over a packed
-``(worker, container)`` arena, bit-identical to the serial loop.
+instants — so the runner coalesces all those same-instant ticks into one
+vectorized pass over a packed ``(worker, container)`` arena.
 
 This example runs the ``two_thousand_job`` Poisson stream (trimmed to
-600 arrivals so the demo stays quick) against 64 one-slot workers, once
-serially and once fused, then verifies the runs are indistinguishable —
-same completion times, same event count — and reports the speedup.
+600 arrivals so the demo stays quick) against 64 one-slot workers and
+reports its throughput.
 
 Run:
     python examples/large_fleet.py
@@ -27,12 +25,11 @@ from repro.experiments.runner import run_cluster
 from repro.experiments.scenarios import two_thousand_job
 
 
-def run(fleet_mode: bool):
+def main() -> None:
     scenario = two_thousand_job(seed=42, n_jobs=600)
     config = SimulationConfig(
         seed=42,
         trace=False,
-        fleet_mode=fleet_mode,
         contention=ContentionModel.ideal(),
         sample_interval=2.0,
     )
@@ -45,39 +42,18 @@ def run(fleet_mode: bool):
         max_containers=scenario.max_containers,
         placement="spread",
     )
-    return result, time.perf_counter() - t0
+    elapsed = time.perf_counter() - t0
 
-
-def main() -> None:
-    serial, serial_s = run(fleet_mode=False)
-    fused, fused_s = run(fleet_mode=True)
-
-    serial_times = serial.completion_times()
-    fused_times = fused.completion_times()
-    assert fused_times == serial_times, "fleet mode must be bit-identical"
-    assert fused.sim.events_processed == serial.sim.events_processed
-
+    events = result.sim.events_processed
     print(render_header("600-job Poisson stream on 64 one-slot workers"))
-    rows = [
-        [
-            label,
-            result.sim.events_processed,
-            f"{elapsed:.2f}",
-            round(result.sim.events_processed / elapsed),
-        ]
-        for label, result, elapsed in [
-            ("serial (fleet_mode=False)", serial, serial_s),
-            ("fused (fleet_mode=True)", fused, fused_s),
-        ]
-    ]
-    print(render_table(["run", "events", "wall (s)", "events/s"], rows))
-
-    makespan = max(fused_times.values())
+    print(render_table(
+        ["run", "events", "wall (s)", "events/s"],
+        [["fused", events, f"{elapsed:.2f}", round(events / elapsed)]],
+    ))
+    times = result.completion_times()
     print(
-        f"\n{len(fused_times)} jobs completed, makespan "
-        f"{makespan:.1f} simulated seconds; fused pass finished "
-        f"{serial_s / fused_s:.2f}x faster than the serial loop with "
-        f"identical completion times."
+        f"\n{len(times)} jobs completed, makespan "
+        f"{max(times.values()):.1f} simulated seconds."
     )
 
 

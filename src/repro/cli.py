@@ -254,7 +254,6 @@ def _cmd_compare(args) -> int:
     sim_cfg = SimulationConfig(
         seed=args.seed, trace=False,
         streaming_metrics=args.streaming_metrics,
-        fleet_mode=args.fleet_mode,
     )
     fc_cfg = FlowConConfig(alpha=args.alpha, itval=args.itval)
     cluster = dict(
@@ -385,10 +384,7 @@ def _cmd_sweep(args) -> int:
         fixed_three_job(),
         alphas=args.alphas,
         itvals=args.itvals,
-        sim_config=SimulationConfig(
-            seed=args.seed, trace=False,
-            fleet_mode=args.fleet_mode,
-        ),
+        sim_config=SimulationConfig(seed=args.seed, trace=False),
         n_workers=args.workers,
         placement=args.placement,
         rebalance=args.rebalance,
@@ -480,9 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "random mix; any other choice builds a lazy "
                             "arrival stream from the generator family "
                             "(diurnal, flash_crowd, pareto_mix, poisson)")
-    p_cmp.add_argument("--fleet-mode", action="store_true",
-                       help="fuse same-instant sampling ticks into one "
-                            "packed fleet pass (bit-identical)")
     p_cmp.add_argument("--streaming-metrics", action="store_true",
                        help="record sketch-based bounded-memory aggregates "
                             "(p50/p95/p99, rolling throughput) instead of "
@@ -520,9 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--fabric", default="ideal", metavar="SPEC",
                          help="control-plane fabric spec (e.g. ideal, "
                               "\"partition(30..90):retry(max=5,base=0.5)\")")
-    p_sweep.add_argument("--fleet-mode", action="store_true",
-                         help="fuse same-instant sampling ticks into one "
-                              "packed fleet pass (bit-identical)")
     p_sweep.add_argument("--profile", action="store_true",
                          help="run under cProfile and dump the top 25 "
                               "cumulative-time functions to stderr")

@@ -180,7 +180,7 @@ class ObservationBus:
         #: Whether post-pass checkpoint pruning is enabled.
         self.prune = True
         self._cache_key: tuple[float, int] | None = None
-        self._cache: list[ContainerObservation] = []
+        self._cache: list[ContainerObservation] | None = []
         self._samplers: list[BusSampler] = []
         #: Shared passes actually computed (test/bench instrumentation).
         self.passes = 0
@@ -227,27 +227,32 @@ class ObservationBus:
         Settles the worker (exact and idempotent), then returns one
         observation per running container in cid order.  Consecutive
         calls at the same time with unchanged worker state hit the
-        cache, so a tick with many subscribers costs one pass.
+        cache, so a tick with many subscribers costs one pass.  A pass
+        whose bookkeeping the packed sampler already did (the cache key
+        is current but no list was built) is built here without being
+        counted again.
         """
         worker = self.worker
         worker.settle()
         key = (worker.sim.now, worker.version)
         cache_key = self._cache_key
-        if key == cache_key:
-            return self._cache
+        cache = self._cache
+        if key == cache_key and cache is not None:
+            return cache
         now = key[0]
         # A running container's E(t) is a pure function of job state,
         # which only moves when time does — so when only the worker's
         # state-version changed (e.g. a reallocation between two
         # observers at one instant), the previous pass's evaluations are
         # still exact and the curve is not re-evaluated.
-        same_instant = cache_key is not None and cache_key[0] == now
+        same_instant = bool(cache) and cache_key[0] == now
         prev_evals = (
-            {o.cid: o.eval_value for o in self._cache} if same_instant else {}
+            {o.cid: o.eval_value for o in cache} if same_instant else {}
         )
+        containers = worker.running_containers()
         observations: list[ContainerObservation] = []
         append = observations.append
-        for container in worker.running_containers():
+        for container in containers:
             cid = container.cid
             if same_instant and cid in prev_evals:
                 eval_value = prev_evals[cid]
@@ -270,18 +275,19 @@ class ObservationBus:
                     container.cgroup,
                 )
             )
-        self._cache_key = key
         self._cache = observations
-        self.passes += 1
-        # Pruning is amortized: the memory bound only needs to keep up
-        # with history growth, not run on every pass.
-        if self.prune and self._samplers and self.passes % 16 == 0:
-            self._prune(observations)
+        if key != cache_key:
+            self._cache_key = key
+            self.passes += 1
+            # Pruning is amortized: the memory bound only needs to keep
+            # up with history growth, not run on every pass.
+            if self.prune and self._samplers and self.passes % 16 == 0:
+                self._prune(now, containers)
         return observations
 
     # -- memory bound ------------------------------------------------------
 
-    def _prune(self, observations: list[ContainerObservation]) -> None:
+    def _prune(self, now: float, containers: list[Container]) -> None:
         """Drop checkpoint history no subscriber window can reach.
 
         The floor for a container is the oldest window start across all
@@ -296,9 +302,9 @@ class ObservationBus:
         historical keep-everything behaviour (see ROADMAP open item).
         """
         samplers = self._samplers
-        for obs in observations:
-            cid, created = obs.cid, obs.created_at
-            floor = obs.time
+        for container in containers:
+            cid, created = container.cid, container.created_at
+            floor = now
             for s in samplers:
                 t = s._last_sample.get(cid, created)
                 if t < floor:
@@ -306,4 +312,4 @@ class ObservationBus:
                     if floor <= created:
                         break
             if floor > created:
-                obs.account.prune_before(floor)
+                container.cgroup.prune_before(floor)

@@ -18,30 +18,28 @@ exact, with no time-stepping error (see DESIGN.md §6).
 
 Hot-path notes
 --------------
-Settlement is vectorized: per-container work and cgroup usage rows are
-computed with numpy over the active-container arrays and applied in bulk.
-The element-wise operations are exactly those of the scalar formulation
-(same IEEE-754 ops in the same order per element), so results are
-bit-identical to the historical per-container loop.  Exit rescheduling is
-*incremental*: projections are keyed by cid and the scheduled event is
-reused whenever the recomputed finish time is unchanged, instead of
-tearing down every exit event on each reallocation.
-
-Fleet mode (``SimulationConfig.fleet_mode``) runs settlement and the
-allocator input/output halves of reallocation across *many* workers in one
-packed pass (:mod:`repro.cluster.fleet`).  To keep that pass bit-identical,
-reallocation is split into :meth:`Worker._realloc_begin` (version bump,
-active set, jitter draws → allocator inputs) and
-:meth:`Worker._realloc_finish` (apply shares, reschedule exits); the serial
-:meth:`Worker._reallocate` is exactly ``begin → allocate → finish``, so both
-modes execute the same code objects on the same per-worker state.
+Settlement, reallocation and sampling each have one implementation, the
+packed arena of :mod:`repro.cluster.fleet`: :meth:`Worker.settle` is
+``fleet_settle([self])``, and the fleet ticker runs the same code over
+every worker sampling at one instant.  Reallocation is split into
+:meth:`Worker._realloc_begin` (version bump, active set, jitter draws →
+allocator inputs) and :meth:`Worker._realloc_finish` (apply shares,
+reschedule exits) so the arena can run one segmented allocation between
+the two halves; :meth:`Worker._reallocate` is exactly ``begin → allocate
+→ finish``.  Exit rescheduling is *incremental*: projections are keyed by
+cid and the scheduled event is reused whenever the recomputed finish
+time is unchanged, instead of tearing down every exit event on each
+reallocation.
 """
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from repro.cluster.contention import ContentionModel
+from repro.cluster.fleet import fleet_settle
 from repro.cluster.obsbus import ObservationBus
 from repro.cluster.pool import ContainerPool
 from repro.containers.allocator import AllocationMode, CpuAllocator
@@ -109,9 +107,14 @@ class Worker:
             raise CapacityError(
                 f"reschedule_tolerance must be >= 0, got {reschedule_tolerance!r}"
             )
-        if max_containers is not None and max_containers < 1:
+        if max_containers is not None and (
+            isinstance(max_containers, bool)
+            or not isinstance(max_containers, numbers.Integral)
+            or max_containers < 1
+        ):
             raise CapacityError(
-                f"max_containers must be >= 1 or None, got {max_containers!r}"
+                f"max_containers must be an integer >= 1 or None, "
+                f"got {max_containers!r}"
             )
         self.sim = sim
         self.name = name
@@ -389,46 +392,13 @@ class Worker:
     # -- settlement -----------------------------------------------------------------
 
     def settle(self) -> None:
-        """Integrate progress from ``_last_settle`` to now (vectorized)."""
-        now = self.sim.now
-        dt = now - self._last_settle
-        if dt <= 0:
-            return
-        active = self._active
-        if active:
-            arrays, mem = self._footprint_state()
-            if mem is None:  # dynamic footprints: re-read every settle
-                mem = float(
-                    sum(c.job.footprint.memory for c in active)
-                )
-            eff = self.contention.efficiency(len(active), mem)
-            if arrays is not None:
-                demands, mems, blkios, netios = arrays
-                allocs = self._allocs
-                # Same per-element IEEE ops as the scalar formulation:
-                # work   = (alloc * eff) * dt
-                # usage  = (min(alloc, demand), mem, blkio·scale, netio·scale)
-                # contrib = usage * dt
-                work = self._allocs * eff * dt
-                rates = np.minimum(allocs, demands)
-                scales = rates / demands
-                contrib = np.empty((len(active), 4), dtype=np.float64)
-                contrib[:, 0] = rates * dt
-                contrib[:, 1] = mems * dt
-                contrib[:, 2] = blkios * scales * dt
-                contrib[:, 3] = netios * scales * dt
-                for container, w, row in zip(active, work.tolist(), contrib):
-                    container.job.advance(w)
-                    container.cgroup.settle_add(dt, row)
-            else:
-                # Fallback for exotic Workload implementations whose
-                # footprint is not a plain ResourceSpec (it may override
-                # usage_at); identical arithmetic, container at a time.
-                for container, alloc in zip(active, self._allocs):
-                    container.job.advance(alloc * eff * dt)
-                    container.cgroup.accumulate(dt, container.usage_at(alloc))
-                    container.cgroup.checkpoint()
-        self._last_settle = now
+        """Integrate progress from ``_last_settle`` to now.
+
+        Delivers ``alloc · efficiency · dt`` CPU-seconds to every running
+        job and advances its cgroup counters (see
+        :func:`~repro.cluster.fleet.fleet_settle`).
+        """
+        fleet_settle([self])
 
     def _footprint_state(
         self,
@@ -555,40 +525,25 @@ class Worker:
         return limits, demands, weights, mem
 
     def _realloc_finish(self, alloc: np.ndarray, mem: float | None) -> None:
-        """Second half of a reallocation: apply *alloc* + reschedule exits."""
-        self._allocs = alloc
-        for container, share in zip(self._active, alloc.tolist()):
-            container.current_alloc = share
-        self._reschedule_exits(mem)
+        """Second half of a reallocation: apply *alloc*, reschedule exits.
 
-    def _cancel_all_exits(self) -> None:
-        if self._exit_handles:
-            cancel = self.sim.cancel
-            for handle in self._exit_handles.values():
-                cancel(handle)
-            self._exit_handles.clear()
-
-    def _reschedule_exits(self, mem: float | None = None) -> None:
-        """Project each running job's finish time and (re)schedule its exit.
-
-        Incremental: projections are keyed by cid and an outstanding exit
-        event is kept whenever the recomputed finish time matches it
-        (within :attr:`reschedule_tolerance`, default exact), so a
-        reallocation that leaves some containers' rates unchanged touches
-        only the projections that actually moved.  ``mem`` lets the
-        caller pass an already-verified resident-memory total.
+        Projects each running job's finish time and (re)schedules its
+        exit.  Incremental: projections are keyed by cid and an
+        outstanding exit event is kept whenever the recomputed finish
+        time matches it (within :attr:`reschedule_tolerance`, default
+        exact), so a reallocation that leaves some containers' rates
+        unchanged touches only the projections that actually moved.
+        ``mem`` is the already-verified resident-memory total, or
+        ``None`` to re-read it (dynamic footprints).
         """
+        self._allocs = alloc
         active = self._active
-        handles = self._exit_handles
-        if not active:
-            self._cancel_all_exits()
-            return
         if mem is None:
             mem = self.memory_used()
         eff = self.contention.efficiency(len(active), mem)
         now = self.sim.now
         tol = self.reschedule_tolerance
-        allocs = self._allocs.tolist()
+        handles = self._exit_handles
         # Hot path: exits are (re)scheduled on every reallocation of a
         # jittered pool, so events are pushed straight onto the queue —
         # a projected finish ``now + remaining/rate`` can never lie in
@@ -597,9 +552,10 @@ class Worker:
         on_exit = self._on_exit_event
         cancel = self.sim.cancel
         seen: set[int] = set()
-        for i, container in enumerate(active):
+        for container, share in zip(active, alloc.tolist()):
+            container.current_alloc = share
             cid = container.cid
-            rate = allocs[i] * eff
+            rate = share * eff
             if rate <= 0:
                 # Starved: no projection until the next allocation change.
                 old = handles.pop(cid, None)
@@ -626,6 +582,13 @@ class Worker:
         if len(handles) > len(seen):
             for cid in [c for c in handles if c not in seen]:
                 cancel(handles.pop(cid))
+
+    def _cancel_all_exits(self) -> None:
+        if self._exit_handles:
+            cancel = self.sim.cancel
+            for handle in self._exit_handles.values():
+                cancel(handle)
+            self._exit_handles.clear()
 
     def _on_exit_event(self, event: Event) -> None:
         """Handle a projected container exit.

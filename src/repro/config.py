@@ -17,6 +17,7 @@ at construction, not halfway through a 2000-second simulation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 from repro.cluster.contention import ContentionModel
@@ -181,12 +182,11 @@ class SimulationConfig:
         behaviour) delivers every manager↔worker message inline and is
         bit-identical to the direct-call manager.
     fleet_mode:
-        When ``True`` the runner arms the fused fleet-tick engine
-        (:mod:`repro.cluster.fleet`): same-instant sampling ticks across
-        workers coalesce into one packed settle + segmented reallocate +
-        packed sampling pass.  Bit-identical to the serial per-worker
-        path (pinned by the golden fixtures and the invariant harness);
-        ``False`` (default) keeps the serial path as the oracle.
+        Ignored.  The runner always arms the fused fleet-tick engine
+        (:mod:`repro.cluster.fleet`), which coalesces same-instant
+        sampling ticks across workers into one packed pass.  The field
+        remains only so existing callers that still pass it keep
+        working; it will be removed.
     streaming_metrics:
         When ``True`` the runner records in bounded memory: recorders
         keep no per-container step series or completion lists, the
@@ -235,9 +235,13 @@ class SimulationConfig:
                 f"reschedule_tolerance must be >= 0, "
                 f"got {self.reschedule_tolerance!r}"
             )
-        if self.max_containers is not None and self.max_containers < 1:
+        if self.max_containers is not None and (
+            isinstance(self.max_containers, bool)
+            or not isinstance(self.max_containers, numbers.Integral)
+            or self.max_containers < 1
+        ):
             raise ConfigError(
-                f"max_containers must be >= 1 or None, "
+                f"max_containers must be an integer >= 1 or None, "
                 f"got {self.max_containers!r}"
             )
         # Imported lazily: the policy registries live above this module

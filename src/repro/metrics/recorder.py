@@ -10,15 +10,19 @@ FlowCon and NA").
 
 The recorder's sampling deliberately calls :meth:`Worker.poke`, which also
 re-samples contention jitter; the sampling grid therefore doubles as the
-OS-noise granularity (see DESIGN.md §2).
+OS-noise granularity (see DESIGN.md §2).  The sample itself is the packed
+sampling pass of :mod:`repro.cluster.fleet` over this one recorder — the
+same code the fleet ticker runs over every recorder ticking at an
+instant.
 
 Streaming mode
 --------------
 ``MetricsRecorder(..., streaming=True)`` trades per-container series for
-O(1) memory per container: sampling still pokes the worker and advances
-the bus pass (so run *dynamics* — settle points, jitter draws, pruning
-cadence — are bit-identical to dense mode), but no step series or growth
-histories are kept, and completions fold into a shared
+O(1) memory per container: sampling still pokes the worker, does the
+bus pass bookkeeping and advances the sampler windows (so run *dynamics*
+— settle points, jitter draws, pruning cadence — are bit-identical to
+dense mode), but no step series or growth histories are kept, and
+completions fold into a shared
 :class:`~repro.metrics.sketch.StreamMetrics` sink instead of a list.
 Exited containers are forgotten from the sampler windows, so a
 million-job run holds recorder state only for *live* containers.  The
@@ -28,8 +32,9 @@ default dense mode is untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.cluster.worker import Worker
+from repro.cluster.fleet import fleet_sample, fleet_sample_streaming
 from repro.containers.container import Container
 from repro.containers.spec import ResourceType
 from repro.core.efficiency import GrowthTracker
@@ -37,6 +42,9 @@ from repro.errors import MetricsError
 from repro.metrics.summary import CompletionRecord, RunSummary
 from repro.metrics.timeseries import StepSeries
 from repro.simcore.events import PRIORITY_SAMPLE, Event, EventKind
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (worker → fleet)
+    from repro.cluster.worker import Worker
 
 __all__ = ["ContainerTrace", "MetricsRecorder"]
 
@@ -100,6 +108,11 @@ class MetricsRecorder:
         self._handle = None
         self._started = False
         self._hooks_installed = False
+        # Sampling caches of the packed pass: per-container lookups keyed
+        # on the runtime-table version, and cid → (time, integral row)
+        # snapshots of each container's last window end.
+        self._statics: tuple | None = None
+        self._win_cache: dict[int, tuple[float, list[float]]] = {}
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -130,13 +143,19 @@ class MetricsRecorder:
 
     def _schedule_sample(self) -> None:
         # ``payload=self`` identifies the owning recorder to the fleet
-        # ticker's batched sampling pass; the serial path ignores it.
-        self._handle = self.worker.sim.schedule_in(
-            self.sample_interval,
-            self._on_sample,
-            kind=EventKind.METRIC_SAMPLE,
-            priority=PRIORITY_SAMPLE,
-            payload=self,
+        # ticker's batched sampling pass.  Pushed straight onto the
+        # queue: a positive interval from now can never lie in the past,
+        # so Simulator.schedule's guard would be pure overhead on this
+        # once-per-recorder-per-tick path.
+        sim = self.worker.sim
+        self._handle = sim.queue.push(
+            Event(
+                sim.now + self.sample_interval,
+                EventKind.METRIC_SAMPLE,
+                self._on_sample,
+                PRIORITY_SAMPLE,
+                self,
+            )
         )
 
     def _on_sample(self, _event: Event) -> None:
@@ -148,42 +167,17 @@ class MetricsRecorder:
     def sample_now(self) -> None:
         """Take one sample of every running container immediately.
 
-        Sampling reads the worker's observation bus: the settle and the
-        per-container ``E(t)``/window snapshots are computed once per
-        instant and shared with every other observer (FlowCon's monitor,
-        the progress signal); only this recorder's sampling windows and
-        step series are private.
-
-        Streaming mode runs the *same* poke + shared-pass + window
-        advance (identical dynamics, identical pruning cadence) but
-        appends nothing: the sampled stats are discarded after moving
-        this recorder's windows forward.
+        Pokes the worker (settle + reallocate, coalesced per instant),
+        then runs the packed sampling pass over this recorder alone:
+        :func:`~repro.cluster.fleet.fleet_sample`, or
+        :func:`~repro.cluster.fleet.fleet_sample_streaming` in streaming
+        mode, which advances the sampling windows but appends nothing.
         """
         self.worker.poke()
         if self.streaming:
-            sample = self._sampler.sample
-            for obs in self.worker.obsbus.observe():
-                sample(obs)
-            return
-        observe = self._tracker.observe
-        sample = self._sampler.sample
-        for obs in self.worker.obsbus.observe():
-            trace = self.traces.get(obs.cid)
-            if trace is None:
-                trace = self._trace_for(obs.container)
-            stats = sample(obs)
-            if stats is None:
-                continue
-            now = obs.time
-            trace.cpu_usage.append(now, stats.mean_usage.cpu)
-            trace.cpu_limit.append(now, stats.cpu_limit)
-            if stats.eval_value is not None:
-                trace.eval_value.append(now, stats.eval_value)
-                grown = observe(
-                    obs.cid, now, stats.eval_value, stats.mean_usage
-                )
-                if grown is not None:
-                    trace.growth.append(now, grown.growth)
+            fleet_sample_streaming([self])
+        else:
+            fleet_sample([self])
 
     # -- hooks ------------------------------------------------------------------------
 

@@ -16,9 +16,10 @@ invariants that must hold for any of them:
 * the admission queue fully drains — under ``wfq`` this doubles as the
   no-starvation witness: every tenant with positive weight finishes;
 * repeating a run with the same seed is bit-identical;
-* the fused fleet-tick engine (``fleet_mode``) reproduces the serial
-  per-worker path bit-for-bit — completion times, failure records *and*
-  every recorded metric series — across the same policy matrix.
+* the fused fleet tick (``FleetTicker`` armed, ``fleet_mode=True``)
+  reproduces lone per-worker ticks (ticker unarmed) bit-for-bit —
+  completion times, failure records *and* every recorded metric series
+  — across the same policy matrix.
 
 Shapes are drawn from a ``numpy`` generator seeded independently of the
 simulator, so the same test seed always fuzzes the same cluster.
@@ -96,11 +97,11 @@ def _run_checked(
 
     ``fleet_mode=None`` (the default) runs without metric recorders —
     the historical harness.  ``False``/``True`` attach a started
-    recorder to every worker (provisioned ones included) and run the
-    serial/fused sampling path respectively; the returned summary then
-    also digests every recorded series bit-for-bit, so comparing a
-    ``False`` run against a ``True`` run proves the fused engine changed
-    nothing.
+    recorder to every worker (provisioned ones included) and leave the
+    fleet ticker unarmed (every tick samples one worker) or arm it
+    (same-instant ticks fuse); the returned summary then also digests
+    every recorded series bit-for-bit, so comparing a ``False`` run
+    against a ``True`` run proves batching changed nothing.
     """
     capacities, slots, jobs = _random_shape(seed)
     sim = Simulator(seed=seed, trace=False)
@@ -500,10 +501,10 @@ class TestFabricChaosInvariants:
 
 
 class TestFleetModeParity:
-    """The fused fleet-tick engine vs the serial oracle, fuzzed.
+    """Batched fleet ticks vs lone per-worker ticks, fuzzed.
 
-    Every test runs the same random cluster shape twice — serial
-    sampling and fused (``FleetTicker`` armed) — and asserts the full
+    Every test runs the same random cluster shape twice — ticker
+    unarmed and armed (``FleetTicker``) — and asserts the full
     summaries match bit-for-bit: completion times, failure/retry
     records, fabric counters and a sha256 over every recorded metric
     series.  Together the tests sweep all six policy axes (placement,

@@ -1,22 +1,24 @@
-"""Unit tests for the fused fleet-tick engine.
+"""Unit tests for the worker-pass arena and the fused fleet tick.
 
-The contracts under test, each against the serial path as the oracle:
+The contracts under test:
 
 * **Engine batching** — a registered batcher only ever receives genuine
   same-instant batches (size ≥ 2, same ``(time, kind, priority)``, pop
   order); lone events of a batched kind fire directly, and
   ``events_processed`` counts every batched event.
-* **Phase parity** — :func:`fleet_settle` / :func:`fleet_reallocate` /
-  the segmented allocator reproduce ``settle()`` / ``poke()`` /
-  per-worker ``allocate()`` bit for bit, including the scalar fallbacks
-  for dynamic footprints and the validation errors of the serial path.
-* **Bypassed observe** — the bus bookkeeping the fused sampler does in
+* **Settlement** — :func:`fleet_settle` matches a test-local scalar
+  per-container reference bit for bit, for plain and dynamic
+  footprints, on lone, wide and ragged fleets.
+* **Phase parity** — :func:`fleet_reallocate` and the segmented
+  allocator reproduce per-worker ``poke()`` / ``allocate()`` bit for
+  bit, including the validation errors of the per-worker path.
+* **Bypassed observe** — the bus bookkeeping the packed sampler does in
   place of ``ObservationBus.observe()`` (pass counter, cache key, the
   16-pass prune) matches the real ``observe()`` pass for pass.
 * **Ticker lifecycle** — recorders discovered from event payloads,
   foreign and stopped-recorder events fire normally, caches invalidate
   on pool changes, and the fused prune keeps history bounded on the
-  serial cadence.
+  unbatched cadence.
 """
 
 from __future__ import annotations
@@ -47,7 +49,22 @@ from tests.conftest import make_linear_job
 
 
 class _DynamicSpec(ResourceSpec):
-    """A non-plain footprint: forces the scalar settle/finish fallbacks."""
+    """A non-plain footprint: forces the scalar settle fallback."""
+
+
+def _reference_settle(worker):
+    """Per-container scalar settlement, the specification of the arena."""
+    dt = worker.sim.now - worker._last_settle
+    if dt <= 0:
+        return
+    active = worker._active
+    if active:
+        eff = worker.contention.efficiency(len(active), worker.memory_used())
+        for c, alloc in zip(active, worker._allocs):
+            c.job.advance(alloc * eff * dt)
+            c.cgroup.accumulate(dt, c.usage_at(alloc))
+            c.cgroup.checkpoint()
+    worker._last_settle = worker.sim.now
 
 
 def _build_fleet(
@@ -96,6 +113,20 @@ def _settle_state(workers):
             repr(c.job.work_done),
             c.cgroup._integral.tolist(),
             repr(c.cgroup.last_update),
+        )
+        for w in workers
+        for c in w.running_containers()
+    ]
+
+
+def _settle_bits(workers):
+    """Exact bits of the settled state, whatever the float types."""
+    return [
+        (
+            c.name,
+            float(c.job.work_done).hex(),
+            [x.hex() for x in c.cgroup._integral.tolist()],
+            float(c.cgroup.last_update).hex(),
         )
         for w in workers
         for c in w.running_containers()
@@ -196,33 +227,38 @@ class TestEngineBatching:
 
 class TestFleetSettleParity:
     @pytest.mark.parametrize("contention", [ContentionModel.ideal, None])
-    def test_matches_per_worker_settle_bitwise(self, contention):
-        serial_sim, serial_workers = _build_fleet(3, contention=contention)
-        fused_sim, fused_workers = _build_fleet(3, contention=contention)
+    @pytest.mark.parametrize("dynamic", [frozenset(), frozenset({1})])
+    def test_matches_scalar_reference_bitwise(self, contention, dynamic):
+        """Packed fleets, lone workers (``Worker.settle``) and the dynamic
+        footprint fallback all equal the per-container reference."""
+        ref_sim, ref_workers = _build_fleet(
+            3, contention=contention, dynamic=dynamic
+        )
+        fleet_sim, fleet_workers = _build_fleet(
+            3, contention=contention, dynamic=dynamic
+        )
+        lone_sim, lone_workers = _build_fleet(
+            3, contention=contention, dynamic=dynamic
+        )
         for t in (2.5, 7.0, 7.0):  # repeat: second settle at 7.0 is a no-op
-            serial_sim.clock.advance_to(t)
-            fused_sim.clock.advance_to(t)
-            for w in serial_workers:
+            for sim in (ref_sim, fleet_sim, lone_sim):
+                sim.clock.advance_to(t)
+            for w in ref_workers:
+                _reference_settle(w)
+            fleet_settle(fleet_workers)
+            for w in lone_workers:
                 w.settle()
-            fleet_settle(fused_workers)
-        assert _settle_state(serial_workers) == _settle_state(fused_workers)
-
-    def test_dynamic_footprints_take_scalar_fallback_identically(self):
-        serial_sim, serial_workers = _build_fleet(5, dynamic=frozenset({1}))
-        fused_sim, fused_workers = _build_fleet(5, dynamic=frozenset({1}))
-        serial_sim.clock.advance_to(4.0)
-        fused_sim.clock.advance_to(4.0)
-        for w in serial_workers:
-            w.settle()
-        fleet_settle(fused_workers)
-        assert _settle_state(serial_workers) == _settle_state(fused_workers)
+        want = _settle_bits(ref_workers)
+        assert _settle_bits(fleet_workers) == want
+        assert _settle_bits(lone_workers) == want
 
     @pytest.mark.parametrize(
         "shape", [(1,), (4,), (0, 0, 3), (3, 3, 3, 3), (1, 2, 3, 4, 1)]
     )
     def test_fleet_shapes_match_serial(self, shape):
         """Settle + reallocate over lone, wide and ragged fleets: the
-        packed rows must split back onto their workers exactly."""
+        packed rows must split back onto their workers exactly, as one
+        ``poke()`` per worker would leave them."""
         serial_sim, serial_workers = _build_fleet(
             7, jobs_per_worker=shape, contention=ContentionModel.ideal
         )
@@ -262,8 +298,8 @@ class TestFleetReallocateParity:
         assert _alloc_state(serial_workers) == _alloc_state(fused_workers)
         assert _settle_state(serial_workers) == _settle_state(fused_workers)
 
-    def test_dynamic_memory_takes_serial_finish_identically(self):
-        """mem=None workers run ``_realloc_finish`` in place, same bits."""
+    def test_dynamic_memory_matches_per_worker_poke(self):
+        """Dynamic footprints (no cached resident memory), same bits."""
         serial_sim, serial_workers = _build_fleet(2, dynamic=frozenset({0}))
         fused_sim, fused_workers = _build_fleet(2, dynamic=frozenset({0}))
         serial_sim.clock.advance_to(5.0)
@@ -282,6 +318,17 @@ class TestFleetReallocateParity:
         fleet_reallocate(workers)
         assert workers[0].version == version  # poke coalescing preserved
         assert all(w.version > 0 for w in workers[1:])
+
+    def test_launch_then_poke_at_one_instant_still_reallocates(self):
+        """A launch reallocates without claiming the instant's poke."""
+        sim, workers = _build_fleet(8, jobs_per_worker=(1,))
+        sim.clock.advance_to(2.0)
+        [w] = workers
+        w.launch(make_linear_job("late", total_work=300.0, demand=0.5))
+        version = w.version
+        w.poke()
+        assert w.version == version + 1
+        assert w._last_poke == (2.0, w.version)
 
     def test_empty_pool_completes_reallocation(self):
         sim, workers = _build_fleet(6, jobs_per_worker=(0, 2))
@@ -575,15 +622,18 @@ class TestFleetTicker:
             for r in run[2]:
                 r.stop()
 
-    def test_fleet_sample_without_static_cache(self):
-        """``static_cache=None`` (ad-hoc callers) builds entries in place."""
+    def test_fleet_sample_leaves_scheduling_to_the_caller(self):
+        """An ad-hoc packed pass samples every recorder and pushes no
+        events: the next tick is ``_on_sample``'s or the ticker's job."""
         sim, workers, recorders, ticker = _ticked_fleet(2, fleet=False)
-        sim.run(until=5.0)  # serial tick at 5.0 seeds the sampler windows
+        sim.run(until=5.0)  # the tick at 5.0 seeds the sampler windows
         sim.clock.advance_to(8.0)
         fleet_settle(workers)
         fleet_reallocate(workers)
-        n = fleet_sample(recorders, {})
+        queued = len(sim.queue)
+        n = fleet_sample(recorders)
         assert n == 2  # one window mean per (recorder, container)
+        assert len(sim.queue) == queued
         for r in recorders:
             for trace in r.traces.values():
                 assert trace.cpu_usage.arrays()[0].tolist() == [5.0, 8.0]

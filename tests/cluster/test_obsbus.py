@@ -27,6 +27,7 @@ from repro.containers.stats import StatsSampler
 from repro.errors import ContainerError
 from repro.experiments.runner import run_cluster
 from repro.experiments.scenarios import two_hundred_job
+from repro.metrics.recorder import MetricsRecorder
 from repro.simcore.engine import Simulator
 from tests.conftest import make_linear_job
 
@@ -89,6 +90,20 @@ class TestZeroRedundancy:
         sim.clock.advance_to(3.0)
         first = worker.obsbus.observe()
         assert worker.obsbus.observe() is first  # no state change: cached
+
+    def test_observe_after_recorder_sample_builds_without_a_pass(self, sim):
+        """A recorder's sample counts the instant's pass but builds no
+        list; a later same-instant observer still gets every container."""
+        worker = Worker(sim)
+        worker.launch(make_linear_job(total_work=100.0))
+        recorder = MetricsRecorder(worker, sample_interval=5.0)
+        sim.clock.advance_to(3.0)
+        recorder.sample_now()
+        passes = worker.obsbus.passes
+        [obs] = worker.obsbus.observe()
+        assert (obs.time, obs.name) == (3.0, "lin")
+        assert worker.obsbus.passes == passes
+        assert worker.obsbus.observe() == [obs]  # now cached
 
     def test_eval_computed_once_per_instant(self, sim):
         """E(t) survives a same-instant reallocation without re-evaluation."""

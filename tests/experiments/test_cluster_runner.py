@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.baselines.na import NAPolicy
+from repro.cluster.fleet import FleetTicker
 from repro.config import FlowConConfig, SimulationConfig
 from repro.core.policy import FlowConPolicy
 from repro.errors import ExperimentError
@@ -176,42 +177,58 @@ _FLEET_GOLDEN = Path(__file__).parent / "data" / "fleet_golden.json"
 
 
 class TestFleetGolden:
-    """The fused fleet-tick engine is pinned bit-for-bit against serial.
+    """The fused fleet-tick engine is pinned bit-for-bit.
 
-    ``data/fleet_golden.json`` holds serial-mode digests of a reduced
+    ``data/fleet_golden.json`` holds digests of a reduced
     ``two_thousand_job`` stream (400 jobs, 64 workers × 1 slot, default
-    contention, seeds 0–2).  The fused path (``fleet_mode=True``) must
-    reproduce every digest, makespan ``repr`` and queue peak exactly —
-    the fused engine is an optimization, never a semantic fork.
+    contention, seeds 0–2), recorded when each sampling tick still ran
+    one worker at a time.  The fused path must reproduce every digest,
+    makespan ``repr`` and queue peak exactly — the fused engine is an
+    optimization, never a semantic fork.
     """
 
-    def _run(self, seed: int, fleet_mode: bool):
+    @pytest.mark.parametrize("seed", range(3))
+    def test_two_thousand_job_digest(self, seed):
+        golden = json.loads(_FLEET_GOLDEN.read_text())[str(seed)]
         sc = two_thousand_job(seed=seed, n_jobs=400)
-        return run_cluster(
+        result = run_cluster(
             list(sc.specs),
             NAPolicy,
-            SimulationConfig(seed=seed, trace=False, fleet_mode=fleet_mode),
+            SimulationConfig(seed=seed, trace=False),
             capacities=sc.capacities,
             max_containers=sc.max_containers,
             placement="spread",
         )
-
-    @pytest.mark.parametrize("fleet_mode", [False, True])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_two_thousand_job_digest(self, seed, fleet_mode):
-        golden = json.loads(_FLEET_GOLDEN.read_text())[str(seed)]
-        result = self._run(seed, fleet_mode)
         assert len(result.completion_times()) == golden["n_jobs"]
         assert _digest(result.completion_times()) == golden["digest"]
         assert repr(result.makespan) == golden["makespan"]
         assert result.summary.peak_queue_len == golden["peak_queue_len"]
 
+    def test_default_config_fuses_multi_worker_ticks(self, monkeypatch):
+        """The runner arms the fleet ticker without being asked."""
+        armed: list[FleetTicker] = []
+        arm = FleetTicker.arm
+
+        def spy(ticker):
+            armed.append(ticker)
+            arm(ticker)
+
+        monkeypatch.setattr(FleetTicker, "arm", spy)
+        run_cluster(
+            random_ten_job(0),
+            NAPolicy,
+            SimulationConfig(seed=0, trace=False),
+            n_workers=2,
+        )
+        [ticker] = armed
+        assert ticker.fused_batches > 0
+
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("policy", ["NA", "FlowCon"])
     def test_fleet_mode_reproduces_single_worker_golden(self, seed, policy):
-        """fleet_mode on the historical single-worker fixture: the fused
-        batcher only engages on multi-worker same-instant ticks, so a
-        one-worker run must stay byte-identical to the original runner."""
+        """``fleet_mode`` is an ignored field kept for callers that still
+        pass it: setting it must leave the historical single-worker
+        fixture byte-identical."""
         golden = json.loads(_GOLDEN.read_text())[str(seed)][policy]
         factory = (
             NAPolicy if policy == "NA" else partial(FlowConPolicy, _FC)
@@ -226,9 +243,9 @@ class TestFleetGolden:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_fleet_mode_reproduces_cluster_golden(self, seed):
-        """fleet_mode on the 8-worker Poisson fixture (4 slots/node, so
-        the packed arena sees real colocation depth, unlike the one-slot
-        fleet scenario)."""
+        """The ignored ``fleet_mode`` field on the 8-worker Poisson fixture
+        (4 slots/node, so the packed arena sees real colocation depth,
+        unlike the one-slot fleet scenario)."""
         golden = json.loads(_CLUSTER_GOLDEN.read_text())[str(seed)]
         result = run_cluster(
             two_hundred_job(seed=seed),

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.worker import Worker
 from repro.config import FlowConConfig, SimulationConfig
-from repro.errors import ConfigError
+from repro.errors import CapacityError, ConfigError
+from repro.simcore.engine import Simulator
 
 
 class TestFlowConConfig:
@@ -64,6 +66,14 @@ class TestSimulationConfig:
     def test_sample_interval_positive(self):
         with pytest.raises(ConfigError):
             SimulationConfig(sample_interval=-1.0)
+
+    @pytest.mark.parametrize("slots", [2.5, 3.0, True, "3"])
+    def test_non_integer_slot_count_rejected(self, slots):
+        """A fractional slot count must not silently round up."""
+        with pytest.raises(ConfigError):
+            SimulationConfig(max_containers=slots)
+        with pytest.raises(CapacityError):
+            Worker(Simulator(seed=0, trace=False), max_containers=slots)
 
     def test_horizon_positive_or_none(self):
         SimulationConfig(horizon=None)
