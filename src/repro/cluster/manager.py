@@ -28,6 +28,11 @@ tracks the worst backlog.  With unbounded workers (the default, and the
 paper's single-node setup) the queue is never used and behaviour is
 bit-identical to the historical pass-through manager.
 
+The eligible workers (those with headroom, in fleet order) are an
+incremental index, not a per-placement fleet scan: every worker reports
+each change that may flip its headroom, and the next placement re-checks
+only the reporters.  Fleet membership changes rebuild the index.
+
 Rebalancing
 -----------
 After each exit-hook queue drain the manager hands the cluster to a
@@ -99,6 +104,7 @@ reservation ever leaks.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -311,9 +317,15 @@ class Manager:
         #: Template for the default worker factory, captured up front so
         #: provisioning survives even a whole-fleet outage.
         self._worker_template = self.workers[0]
+        #: Headroom index: fleet position per worker, the workers with
+        #: headroom in fleet order, and the workers that reported a
+        #: possible headroom change since the last ``_eligible_workers``.
+        self._rank: dict[Worker, int] = {}
+        self._eligible: list[Worker] = []
+        self._dirty: dict[Worker, None] = {}
         for worker in self.workers:
-            worker.exit_hooks.append(self._on_worker_exit)
-            worker.reap_exited = self._streaming
+            self._wire(worker)
+        self._rebuild_index()
         self._failures_armed = not isinstance(self.failures, NoFailures)
         self._fabric_ideal = isinstance(self.fabric, IdealFabric)
         #: Original submissions are tracked whenever anything can orphan
@@ -404,8 +416,57 @@ class Manager:
 
     # -- placement and admission ---------------------------------------------------
 
+    def _wire(self, worker: Worker) -> None:
+        """Hook a worker joining the fleet up to this manager."""
+        worker.exit_hooks.append(self._on_worker_exit)
+        worker.headroom_listener = self._mark_dirty
+        worker.reap_exited = self._streaming
+
+    def _join(self, worker: Worker) -> None:
+        """A provisioned or recovered worker enters the fleet."""
+        self._wire(worker)
+        self.workers.append(worker)
+        self.fleet_timeline.append((self.sim.now, len(self.workers)))
+        self._rebuild_index()
+
+    def _leave(self, worker: Worker) -> None:
+        """A retired or crashed worker leaves the fleet."""
+        worker.exit_hooks.remove(self._on_worker_exit)
+        worker.headroom_listener = None
+        self.workers.remove(worker)
+        self.fleet_timeline.append((self.sim.now, len(self.workers)))
+        self._rebuild_index()
+
+    def _rebuild_index(self) -> None:
+        """Recompute the headroom index from the whole fleet."""
+        self._rank = {w: i for i, w in enumerate(self.workers)}
+        self._eligible = [w for w in self.workers if w.has_headroom()]
+        self._dirty.clear()
+
+    def _mark_dirty(self, worker: Worker) -> None:
+        self._dirty[worker] = None
+
     def _eligible_workers(self) -> list[Worker]:
-        return [w for w in self.workers if w.has_headroom()]
+        """The workers with headroom, in fleet order, as a fresh list.
+
+        Equal to ``[w for w in self.workers if w.has_headroom()]``, at
+        the cost of one headroom check per worker that reported a change
+        since the last call: each is re-checked and inserted into or
+        removed from the index at its fleet position.
+        """
+        if self._dirty:
+            eligible = self._eligible
+            rank = self._rank
+            for worker in self._dirty:
+                i = bisect_left(eligible, rank[worker], key=rank.__getitem__)
+                listed = i < len(eligible) and eligible[i] is worker
+                if worker.has_headroom():
+                    if not listed:
+                        eligible.insert(i, worker)
+                elif listed:
+                    del eligible[i]
+            self._dirty.clear()
+        return list(self._eligible)
 
     def _place(self, submission: JobSubmission, eligible: list[Worker]) -> None:
         """Send a place order for *submission* to a chosen worker.
@@ -527,11 +588,7 @@ class Manager:
         in fleet order — deterministic, and enough for this job.
         """
         for worker in self.workers:
-            if worker.draining and (
-                worker.max_containers is None
-                or len(worker.running_containers()) + worker.reserved
-                < worker.max_containers
-            ):
+            if worker.draining and worker.has_free_slot():
                 worker.draining = False
                 self.sim.trace(
                     "manager.scale",
@@ -842,10 +899,7 @@ class Manager:
         self._next_worker_idx += 1
         factory = self.worker_factory or self._default_worker_factory
         worker = factory(name)
-        worker.exit_hooks.append(self._on_worker_exit)
-        worker.reap_exited = self._streaming
-        self.workers.append(worker)
-        self.fleet_timeline.append((self.sim.now, len(self.workers)))
+        self._join(worker)
         self.sim.trace(
             "manager.scale",
             f"{name} joined the fleet (size {len(self.workers)})",
@@ -923,9 +977,7 @@ class Manager:
             # pass re-plans from live state.
             return
         worker.draining = False
-        worker.exit_hooks.remove(self._on_worker_exit)
-        self.workers.remove(worker)
-        self.fleet_timeline.append((self.sim.now, len(self.workers)))
+        self._leave(worker)
         self.sim.trace(
             "manager.scale",
             f"retired {worker.name} (fleet size {len(self.workers)})",
@@ -1027,10 +1079,8 @@ class Manager:
                 self._in_flight -= 1
                 stranded.append(container)
         orphans = worker.crash() + stranded
-        worker.exit_hooks.remove(self._on_worker_exit)
-        self.workers.remove(worker)
+        self._leave(worker)
         self.crashed_workers.add(worker.name)
-        self.fleet_timeline.append((self.sim.now, len(self.workers)))
         if self.sim.trace_enabled:
             self.sim.trace(
                 "manager.fault",
@@ -1113,10 +1163,7 @@ class Manager:
         """A crashed worker rejoins the fleet, empty and at full health."""
         if any(w.name == worker.name for w in self.workers):
             return  # pragma: no cover - defensive (double recovery)
-        worker.exit_hooks.append(self._on_worker_exit)
-        worker.reap_exited = self._streaming
-        self.workers.append(worker)
-        self.fleet_timeline.append((self.sim.now, len(self.workers)))
+        self._join(worker)
         self.sim.trace(
             "manager.fault",
             f"{worker.name} recovered and rejoined "

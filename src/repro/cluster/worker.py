@@ -34,6 +34,7 @@ reallocation.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -55,6 +56,15 @@ __all__ = ["Worker"]
 
 #: Work residue below which a job counts as finished (float hygiene).
 _FINISH_EPS = 1e-6
+
+
+def _check_capacity(capacity: float) -> None:
+    # The negated comparison also rejects NaN, which compares false
+    # against everything; an infinite capacity never lets a job finish.
+    if not 0 < capacity < math.inf:
+        raise CapacityError(
+            f"capacity must be positive and finite, got {capacity!r}"
+        )
 
 
 class Worker:
@@ -101,9 +111,9 @@ class Worker:
         reschedule_tolerance: float = 0.0,
         max_containers: int | None = None,
     ) -> None:
-        if capacity <= 0:
-            raise CapacityError(f"capacity must be positive, got {capacity!r}")
-        if reschedule_tolerance < 0:
+        _check_capacity(capacity)
+        # The negated comparison also rejects NaN.
+        if not reschedule_tolerance >= 0:
             raise CapacityError(
                 f"reschedule_tolerance must be >= 0, got {reschedule_tolerance!r}"
             )
@@ -134,10 +144,12 @@ class Worker:
         #: message with the epoch it reserved under and releases only if
         #: the epoch is unchanged when the message resolves.
         self.epoch = 0
-        #: Draining workers accept no new placements or migration
-        #: targets; the autoscaler retires them at the first moment they
-        #: are empty (see :mod:`repro.cluster.autoscale`).
-        self.draining = False
+        self._draining = False
+        #: Called with this worker after every change that may flip
+        #: :meth:`has_headroom` (a slot taken or freed, a reservation,
+        #: draining); the manager installs it to keep its eligible-worker
+        #: index current.
+        self.headroom_listener = None
         self._active: list[Container] = []
         self._allocs = np.zeros(0, dtype=np.float64)
         self._exit_handles: dict[int, EventHandle] = {}
@@ -190,6 +202,7 @@ class Worker:
         if name is None:
             name = getattr(job, "name", None)
         container = self.runtime.run(job, name=name, image=image)
+        self._headroom_changed()
         self.pool.add(container, self.sim.now)
         if self.sim.trace_enabled:
             self.sim.trace(
@@ -271,6 +284,7 @@ class Worker:
         if handle is not None:
             self.sim.cancel(handle)
         self.runtime.release(cid)
+        self._headroom_changed()
         self.pool.discard(cid, self.sim.now)
         if self.sim.trace_enabled:
             self.sim.trace(
@@ -301,6 +315,7 @@ class Worker:
             )
         self.settle()
         self.runtime.adopt(container)
+        self._headroom_changed()
         self.pool.add(container, self.sim.now)
         # This node's existing subscribers start their windows at the
         # attach instant rather than reaching back to the container's
@@ -339,7 +354,8 @@ class Worker:
             self.runtime.release(container.cid)
             self.pool.discard(container.cid, self.sim.now)
         self._reserved = 0
-        self.draining = False
+        self._draining = False
+        self._headroom_changed()
         self.epoch += 1
         if self.sim.trace_enabled:
             self.sim.trace(
@@ -357,10 +373,7 @@ class Worker:
         now, then reallocates — every resident container's share and
         projected exit move to the new rate.
         """
-        if capacity <= 0:
-            raise CapacityError(
-                f"capacity must be positive, got {capacity!r}"
-            )
+        _check_capacity(capacity)
         self.settle()
         self.capacity = float(capacity)
         if self.sim.trace_enabled:
@@ -377,17 +390,39 @@ class Worker:
                 f"{self.name} has no admission slot to reserve"
             )
         self._reserved += 1
+        self._headroom_changed()
 
     def release_reservation(self) -> None:
         """Give back a slot held by :meth:`reserve_slot`."""
         if self._reserved <= 0:
             raise CapacityError(f"{self.name} has no reservation to release")
         self._reserved -= 1
+        self._headroom_changed()
 
     @property
     def reserved(self) -> int:
         """Admission slots held for in-flight migrations."""
         return self._reserved
+
+    @property
+    def draining(self) -> bool:
+        """Whether this worker is on its way out of the fleet.
+
+        Draining workers accept no new placements or migration targets;
+        the autoscaler retires them at the first moment they are empty
+        (see :mod:`repro.cluster.autoscale`).
+        """
+        return self._draining
+
+    @draining.setter
+    def draining(self, value: bool) -> None:
+        self._draining = value
+        self._headroom_changed()
+
+    def _headroom_changed(self) -> None:
+        listener = self.headroom_listener
+        if listener is not None:
+            listener(self)
 
     # -- settlement -----------------------------------------------------------------
 
@@ -609,6 +644,7 @@ class Worker:
         exited = job.finished
         if exited:
             self.runtime.mark_exited(cid)
+            self._headroom_changed()
             self.pool.discard(cid, self.sim.now)
             if self.sim.trace_enabled:
                 self.sim.trace(
@@ -647,8 +683,14 @@ class Worker:
         a draining worker advertises no headroom at all — it is on its
         way out of the fleet.
         """
-        if self.draining:
-            return False
+        return not self._draining and self.has_free_slot()
+
+    def has_free_slot(self) -> bool:
+        """Whether running plus reserved containers leave a slot free.
+
+        Ignores draining (see :meth:`has_headroom`); always true when
+        unbounded.
+        """
         return (
             self.max_containers is None
             or len(self.runtime.running()) + self._reserved

@@ -39,7 +39,6 @@ from repro.metrics.recorder import ContainerTrace, MetricsRecorder
 from repro.metrics.sketch import StreamMetrics
 from repro.metrics.summary import RunSummary
 from repro.simcore.engine import Simulator
-from repro.simcore.events import EventKind
 from repro.workloads.generator import WorkloadSpec, WorkloadStream
 from repro.workloads.models import MODEL_ZOO
 
@@ -305,8 +304,16 @@ def run_cluster(
     )
     recorders: dict[str, MetricsRecorder] = {}
     policies: dict[str, SchedulingPolicy] = {}
+    done = 0
+
+    def count_exit(_container) -> None:
+        nonlocal done
+        done += 1
 
     def instrument(worker: Worker) -> None:
+        # Once per worker object: a recovered worker keeps this hook, so
+        # every completion is counted exactly once, like its recorder's.
+        worker.exit_hooks.append(count_exit)
         recorder = MetricsRecorder(
             worker,
             sample_interval=cfg.sample_interval,
@@ -371,24 +378,13 @@ def run_cluster(
 
     expected = len(specs)
 
-    def _resolved() -> int:
-        return sum(r.n_completions for r in recorders.values()) + len(
-            manager.failed
-        )
-
     # Step until every job completes or permanently fails; periodic
     # recorder/scheduler events would keep an unconditional run() alive
-    # forever.  Completions only grow on container exits and permanent
-    # failures only on worker crashes, so the count is recomputed on
-    # those event kinds instead of every step (the per-step recount was
-    # a measurable fraction of large-fleet run time).
-    resolved = _resolved()
-    while resolved < expected:
+    # forever.
+    while done + len(manager.failed) < expected:
         if cfg.horizon is not None and sim.now >= cfg.horizon:
             break
-        event = sim.step()
-        if event is None:
-            done = sum(r.n_completions for r in recorders.values())
+        if sim.step() is None:
             raise ExperimentError(
                 f"simulation stalled at t={sim.now:.1f}s with "
                 f"{done}/{expected} jobs complete"
@@ -397,14 +393,6 @@ def run_cluster(
                     if manager.failed else ""
                 )
             )
-        if (
-            event.kind is EventKind.CONTAINER_EXIT
-            or event.kind is EventKind.WORKER_FAIL
-            or event.kind is EventKind.MESSAGE
-        ):
-            # MESSAGE events matter too: a fabric give-up fails a job
-            # without any container exit or worker crash.
-            resolved = _resolved()
 
     for recorder in recorders.values():
         recorder.stop()

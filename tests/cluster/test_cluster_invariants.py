@@ -178,6 +178,10 @@ def _run_checked(
             assert worker.max_containers is None or (
                 occupied <= worker.max_containers
             ), f"{worker.name} over capacity after {event!r}"
+        # The incremental headroom index equals the linear scan.
+        assert manager._eligible_workers() == [
+            w for w in manager.workers if w.has_headroom()
+        ], f"headroom index stale after {event!r}"
 
     if recorders:
         # Recorders reschedule themselves forever; step until every job
@@ -821,6 +825,10 @@ def _run_streaming_checked(
             assert worker.max_containers is None or (
                 occupied <= worker.max_containers
             ), f"{worker.name} over capacity after {event!r}"
+        # The incremental headroom index equals the linear scan.
+        assert manager._eligible_workers() == [
+            w for w in manager.workers if w.has_headroom()
+        ], f"headroom index stale after {event!r}"
 
     def live_slots():
         return sum(w.max_containers or 16 for w in manager.workers)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.contention import ContentionModel
+from repro.cluster.failures import WorkerFault
 from repro.cluster.manager import Manager
 from repro.cluster.submission import JobSubmission
 from repro.cluster.worker import Worker
@@ -76,3 +77,99 @@ class TestPlacement:
         ]
         with pytest.raises(ClusterError):
             Manager(sim, workers)
+
+
+def _slotted_fleet(n: int = 3) -> tuple[Simulator, Manager]:
+    sim = Simulator(seed=0, trace=False)
+    workers = [
+        Worker(
+            sim,
+            name=f"w{i}",
+            contention=ContentionModel.ideal(),
+            max_containers=1,
+        )
+        for i in range(n)
+    ]
+    return sim, Manager(sim, workers)
+
+
+def _eligible_names(manager: Manager) -> list[str]:
+    eligible = manager._eligible_workers()
+    # The index must equal the linear scan it replaces, object for
+    # object and in fleet order.
+    assert eligible == [w for w in manager.workers if w.has_headroom()]
+    return [w.name for w in eligible]
+
+
+class TestHeadroomIndex:
+    """Every slot transition reports to the manager's eligible index."""
+
+    def test_launch_and_exit(self):
+        sim, manager = _slotted_fleet()
+        manager.workers[1].launch(make_linear_job("j", 10.0))
+        assert _eligible_names(manager) == ["w0", "w2"]
+        sim.run(until=20.0)
+        assert _eligible_names(manager) == ["w0", "w1", "w2"]
+
+    def test_detach_and_attach(self):
+        _, manager = _slotted_fleet()
+        w0, w1, _ = manager.workers
+        container = w0.launch(make_linear_job("j", 100.0))
+        assert _eligible_names(manager) == ["w1", "w2"]
+        w0.detach(container.cid)
+        assert _eligible_names(manager) == ["w0", "w1", "w2"]
+        w1.attach(container)
+        assert _eligible_names(manager) == ["w0", "w2"]
+
+    def test_reserve_and_release(self):
+        _, manager = _slotted_fleet()
+        w2 = manager.workers[2]
+        w2.reserve_slot()
+        assert _eligible_names(manager) == ["w0", "w1"]
+        w2.release_reservation()
+        assert _eligible_names(manager) == ["w0", "w1", "w2"]
+
+    def test_draining_assigned_directly(self):
+        _, manager = _slotted_fleet()
+        w0 = manager.workers[0]
+        w0.draining = True
+        assert w0.has_free_slot() and not w0.has_headroom()
+        assert _eligible_names(manager) == ["w1", "w2"]
+        w0.draining = False
+        assert _eligible_names(manager) == ["w0", "w1", "w2"]
+
+    def test_crash_frees_slots_and_clears_draining(self):
+        _, manager = _slotted_fleet()
+        w0, w1, _ = manager.workers
+        w0.launch(make_linear_job("j", 100.0))
+        w1.draining = True
+        assert _eligible_names(manager) == ["w2"]
+        w0.crash()
+        w1.crash()
+        assert _eligible_names(manager) == ["w0", "w1", "w2"]
+
+    def test_batched_reports_keep_fleet_order(self):
+        _, manager = _slotted_fleet(5)
+        w = manager.workers
+        for worker in (w[3], w[1], w[4]):
+            worker.reserve_slot()
+        assert _eligible_names(manager) == ["w0", "w2"]
+        # Several reports, out of fleet order, resolved by one call.
+        w[4].release_reservation()
+        w[1].release_reservation()
+        w[0].reserve_slot()
+        assert _eligible_names(manager) == ["w1", "w2", "w4"]
+
+    def test_membership_changes_rebuild(self):
+        sim, manager = _slotted_fleet()
+        manager.schedule_fault(WorkerFault("w0", 1.0, recover_after=4.0))
+        sim.run(until=2.0)
+        assert _eligible_names(manager) == ["w1", "w2"]
+        sim.run(until=10.0)
+        # A recovered worker rejoins at the end of the fleet.
+        assert _eligible_names(manager) == ["w1", "w2", "w0"]
+
+    def test_returns_a_fresh_list(self):
+        _, manager = _slotted_fleet()
+        manager._eligible_workers().clear()
+        assert _eligible_names(manager) == ["w0", "w1", "w2"]

@@ -6,11 +6,14 @@ times can be asserted analytically.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.cluster.worker import Worker
 from repro.containers.allocator import AllocationMode
 from repro.cluster.contention import ContentionModel
+from repro.errors import CapacityError
 from repro.simcore.engine import Simulator
 from tests.conftest import make_linear_job
 
@@ -144,7 +147,27 @@ class TestHooks:
 
 class TestValidation:
     def test_nonpositive_capacity_rejected(self, sim):
-        from repro.errors import CapacityError
-
         with pytest.raises(CapacityError):
             Worker(sim, capacity=0.0)
+
+    @pytest.mark.parametrize(
+        "configure",
+        [
+            lambda sim: Worker(sim, capacity=math.nan),
+            lambda sim: Worker(sim, capacity=math.inf),
+            lambda sim: Worker(sim).set_capacity(math.nan),
+            lambda sim: Worker(sim).set_capacity(math.inf),
+            lambda sim: Worker(sim, reschedule_tolerance=math.nan),
+        ],
+        ids=[
+            "nan-capacity",
+            "inf-capacity",
+            "set-nan-capacity",
+            "set-inf-capacity",
+            "nan-tolerance",
+        ],
+    )
+    def test_non_finite_values_rejected(self, sim, configure):
+        # Accepted, these hang a run: no exit projection ever fires.
+        with pytest.raises(CapacityError):
+            configure(sim)
